@@ -25,7 +25,7 @@ from .config import RunConfig
 from .dataset import parse_manifest, read_split, stratified_split, write_split
 from .errors import SrfeError
 from .features import FEATURE_KINDS, read_feature_file, write_feature_file
-from .features.pipeline import FeatureParams, extract_feature_images
+from .features.pipeline import extract_feature_images
 from .metrics import build_eval_report
 from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, write_history_csv
 from .nn.model import ConvNet
@@ -33,27 +33,6 @@ from .nn.model import ConvNet
 log = logging.getLogger("srfe")
 
 CATEGORY_LABELS = ("I", "II", "III", "IV", "V")
-
-
-def feature_params(cfg: RunConfig) -> FeatureParams:
-    return FeatureParams(
-        sample_rate=cfg.sample_rate,
-        n_fft=cfg.n_fft,
-        hop=cfg.hop,
-        window=cfg.window,
-        n_mels=cfg.n_mels,
-        fmin=cfg.fmin,
-        fmax=cfg.fmax,
-        n_mfcc=cfg.n_mfcc,
-        tempogram_win_frames=cfg.tempogram_win_frames,
-        tempogram_hop_frames=cfg.tempogram_hop_frames,
-        n_cyclic_bins=cfg.n_cyclic_bins,
-        ref_tempo_bpm=cfg.ref_tempo_bpm,
-        tuning_hz=cfg.tuning_hz,
-        cqt_fmin=cfg.cqt_fmin,
-        cqt_bins=cfg.cqt_bins,
-        bins_per_octave=cfg.bins_per_octave,
-    )
 
 
 # The flag vocabulary says "tempogram"; the stored kind is cyclic_tempogram.
@@ -75,14 +54,14 @@ def _requested_kinds(cfg: RunConfig) -> list[str]:
 
 def _extract_one(task) -> tuple[str, str | None]:
     """Worker: one clip through ingest + extraction + file writes."""
-    wav_path, stem, kinds, params, out_root, clip_samples = task
+    wav_path, stem, kinds, cfg = task
     try:
         clip = load_wav(wav_path)
-        clip = resample(clip, params.sample_rate)
-        clip = pad_or_trim(clip, clip_samples)
-        images = extract_feature_images(clip, kinds, params)
+        clip = resample(clip, cfg.sample_rate)
+        clip = pad_or_trim(clip, cfg.clip_samples)
+        images = extract_feature_images(clip, kinds, cfg)
         for kind, img in images.items():
-            write_feature_file(img, Path(out_root) / kind / f"{stem}.srf")
+            write_feature_file(img, Path(cfg.feature_dir) / kind / f"{stem}.srf")
         return stem, None
     except Exception as exc:  # noqa: BLE001 - worker reports, parent decides
         return stem, f"{type(exc).__name__}: {exc}"
@@ -94,20 +73,12 @@ def cmd_extract(cfg: RunConfig) -> int:
         log.error("manifest %s lists no clips", cfg.manifest)
         return 1
     kinds = _requested_kinds(cfg)
-    params = feature_params(cfg)
     out_root = Path(cfg.feature_dir)
     for kind in kinds:
         (out_root / kind).mkdir(parents=True, exist_ok=True)
 
     tasks = [
-        (
-            str(Path(cfg.audio_dir) / rec.filename),
-            Path(rec.filename).stem,
-            kinds,
-            params,
-            str(out_root),
-            cfg.clip_samples,
-        )
+        (str(Path(cfg.audio_dir) / rec.filename), Path(rec.filename).stem, kinds, cfg)
         for rec in records
     ]
 
@@ -300,25 +271,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-def _build_config(args: argparse.Namespace, out_field: str | None) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "feature": args.feature,
-        "audio_dir": args.audio_dir,
-        "manifest": args.manifest,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "workers": args.workers,
-    }
-    if out_field and getattr(args, "out", None):
-        overrides[out_field] = args.out
-    for extra in ("feature_dir", "split_file", "checkpoint", "history_file", "report_dir"):
-        if getattr(args, extra, None):
-            overrides[extra] = getattr(args, extra)
-    cfg = cfg.with_overrides(**overrides)
-    if cfg.feature != "all":
-        cfg = cfg.with_overrides(feature=_canonical_feature(cfg.feature))
-    return cfg
+    fields = RunConfig.field_names()
+    return cfg.with_overrides(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def main(argv=None) -> int:
@@ -331,22 +287,22 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("extract", help="decode clips and write feature files")
     _add_common(p)
-    p.add_argument("--out", help="feature directory")
+    p.add_argument("--out", dest="feature_dir", help="feature directory")
 
     p = sub.add_parser("split", help="write the stratified train/validation split")
     _add_common(p)
-    p.add_argument("--out", help="split JSON path")
+    p.add_argument("--out", dest="split_file", help="split JSON path")
 
     p = sub.add_parser("train", help="train the classifier on one feature kind")
     _add_common(p)
-    p.add_argument("--out", help="checkpoint path")
+    p.add_argument("--out", dest="checkpoint", help="checkpoint path")
     p.add_argument("--feature-dir", dest="feature_dir")
     p.add_argument("--split-file", dest="split_file")
     p.add_argument("--history-file", dest="history_file")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
     _add_common(p)
-    p.add_argument("--out", help="report directory", dest="report_dir_flag")
+    p.add_argument("--out", dest="report_dir", help="report directory")
     p.add_argument("--feature-dir", dest="feature_dir")
     p.add_argument("--split-file", dest="split_file")
     p.add_argument("--checkpoint")
@@ -357,23 +313,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "extract":
-            return cmd_extract(_build_config(args, "feature_dir"))
-        if args.command == "split":
-            return cmd_split(_build_config(args, "split_file"))
-        if args.command == "train":
-            return cmd_train(_build_config(args, "checkpoint"))
-        if args.command == "eval":
-            cfg = _build_config(args, None)
-            if getattr(args, "report_dir_flag", None):
-                cfg = cfg.with_overrides(report_dir=args.report_dir_flag)
-            return cmd_eval(cfg)
         if args.command == "report":
             return cmd_report(args.reports, args.out)
+        commands = {"extract": cmd_extract, "split": cmd_split, "train": cmd_train, "eval": cmd_eval}
+        return commands[args.command](_build_config(args))
     except (SrfeError, ValueError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

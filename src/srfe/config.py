@@ -1,5 +1,9 @@
 """Run configuration: defaults, config-file loading, flag overrides.
 
+RunConfig extends the extraction parameters (`FeatureParams`) with paths,
+ingest, split, training and worker settings, so each spectral field and its
+default is declared once and a RunConfig goes straight to the extractor.
+
 Precedence is flags over config file over built-in defaults.  The config
 file is a flat JSON object whose keys are exactly the RunConfig field
 names; unknown keys are rejected so typos fail loudly.
@@ -12,11 +16,11 @@ import json
 import os
 from dataclasses import dataclass
 
-from .features.chroma import CQT_FMIN_C1
+from .features.pipeline import FeatureParams
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(FeatureParams):
     # What to extract / train on.
     feature: str = "mel"
     # Paths.
@@ -27,27 +31,8 @@ class RunConfig:
     checkpoint: str = "model.srnn"
     history_file: str = "history.csv"
     report_dir: str = "reports"
-    # Ingest.
-    sample_rate: int = 22050
+    # Ingest (the pipeline rate, sample_rate, comes from FeatureParams).
     clip_seconds: float = 5.0
-    # Spectral analysis.
-    n_fft: int = 2048
-    hop: int = 512
-    window: str = "hann"
-    n_mels: int = 128
-    fmin: float = 0.0
-    fmax: float | None = None
-    n_mfcc: int = 20
-    # Rhythm.
-    tempogram_win_frames: int = 192
-    tempogram_hop_frames: int = 1
-    n_cyclic_bins: int = 64
-    ref_tempo_bpm: float = 60.0
-    # Chroma.
-    tuning_hz: float = 440.0
-    cqt_fmin: float = CQT_FMIN_C1
-    cqt_bins: int = 84
-    bins_per_octave: int = 12
     # Split.
     train_fraction: float = 0.8
     # Training.

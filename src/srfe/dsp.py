@@ -1,9 +1,9 @@
 """Windowing, FFT, STFT, and the power spectrogram.
 
-The FFT here is an iterative radix-2 Cooley-Tukey, vectorized over a batch
-axis so a whole spectrogram's frames transform in one pass per stage.
-`naive_dft` evaluates the transform sum directly (no factorization) and is
-the reference every fast path is tested against; keep it dumb.
+The transforms are numpy's FFT; `fft` only adds the power-of-two length
+check the spectral pipeline relies on.  `naive_dft` evaluates the transform
+sum directly (no factorization) and is the reference the fast path is tested
+against; keep it dumb.
 
 Spectral conventions: analysis windows are periodic, signals are centered by
 reflect-padding half a window on each side, and a clip of L samples at hop H
@@ -18,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 WINDOW_KINDS = ("hann", "hamming", "rectangular")
-
-_twiddle_cache: dict[tuple[int, bool], list[np.ndarray]] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
 
 
 @dataclass
@@ -94,51 +91,6 @@ def make_window(kind: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r}")
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    idx = _bitrev_cache.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        idx = np.zeros(n, dtype=np.int64)
-        for b in range(bits):
-            idx |= ((np.arange(n) >> b) & 1) << (bits - 1 - b)
-        _bitrev_cache[n] = idx
-    return idx
-
-
-def _stage_twiddles(n: int, inverse: bool) -> list[np.ndarray]:
-    key = (n, inverse)
-    tw = _twiddle_cache.get(key)
-    if tw is None:
-        sign = 1.0 if inverse else -1.0
-        tw = []
-        size = 2
-        while size <= n:
-            half = size // 2
-            tw.append(np.exp(sign * 2j * np.pi * np.arange(half) / size))
-            size *= 2
-        _twiddle_cache[key] = tw
-    return tw
-
-
-def _fft_batch(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT along the last axis of a complex128 array (length 2^k)."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    out = np.ascontiguousarray(a[..., _bit_reverse_indices(n)], dtype=np.complex128)
-    for stage, tw in enumerate(_stage_twiddles(n, inverse)):
-        size = 2 << stage
-        half = size // 2
-        view = out.reshape(-1, n // size, size)
-        odd = view[..., half:] * tw
-        even = view[..., :half].copy()
-        view[..., :half] = even + odd
-        view[..., half:] = even - odd
-    if inverse:
-        out /= n
-    return out
-
-
 def fft(signal, inverse: bool = False) -> np.ndarray:
     """DFT (or inverse DFT) of a power-of-two-length vector."""
     x = np.asarray(signal, dtype=np.complex128)
@@ -147,7 +99,7 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
     n = x.shape[0]
     if n < 1 or n & (n - 1):
         raise ValueError(f"fft length must be a power of two, got {n}")
-    return _fft_batch(x, inverse=inverse)
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def naive_dft(signal, inverse: bool = False) -> np.ndarray:
@@ -189,7 +141,7 @@ def stft(clip, cfg: StftConfig) -> ComplexSpectrogram:
         xp, shape=(n_frames, cfg.n_fft), strides=(cfg.hop * stride, stride), writeable=False
     )
     windowed = frames * make_window(cfg.window, cfg.n_fft)
-    spectrum = _fft_batch(windowed.astype(np.complex128))[:, : cfg.n_fft // 2 + 1]
+    spectrum = np.fft.rfft(windowed, axis=1)
     return ComplexSpectrogram(
         values=spectrum.astype(np.complex64),
         n_fft=cfg.n_fft,

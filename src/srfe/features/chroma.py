@@ -196,11 +196,9 @@ def fold_cqt_to_chroma(cqt_mags: np.ndarray, bins_per_octave: int = 12) -> np.nd
     return folded
 
 
-def cqt_chromagram(
-    cqt_mags: np.ndarray, bins_per_octave: int = 12, frame_hop_seconds: float = 0.0
-) -> FeatureMatrix:
-    """Octave-folded constant-Q chroma, each frame scaled to peak 1."""
-    raw = fold_cqt_to_chroma(cqt_mags, bins_per_octave)
+def cqt_chromagram(cqt_chroma_raw: np.ndarray, frame_hop_seconds: float = 0.0) -> FeatureMatrix:
+    """Constant-Q chroma, each frame of the raw folded chroma scaled to peak 1."""
+    raw = np.asarray(cqt_chroma_raw, dtype=np.float64)
     return FeatureMatrix(
         kind="chroma_cqt",
         values=_normalize_columns_max(raw).astype(np.float32),

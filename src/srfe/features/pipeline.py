@@ -9,7 +9,8 @@ immutable, so sharing them across workers or threads is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from ..audio import AudioClip
 from ..dsp import StftConfig, power_spectrogram, stft
@@ -54,23 +55,20 @@ class FeatureParams:
     bins_per_octave: int = 12
 
 
-@dataclass
-class _Banks:
-    params: FeatureParams
-    mel_bank: object = field(default=None)
-    chroma_map: object = field(default=None)
-    cqt_kernel: object = field(default=None)
+# Builders are looked up in this module, so a wrapper put here sees each build.
+@functools.lru_cache(maxsize=None)
+def _mel_bank(sample_rate, n_fft, n_mels, fmin, fmax):
+    return build_mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax)
 
 
-_bank_cache: dict[FeatureParams, _Banks] = {}
+@functools.lru_cache(maxsize=None)
+def _chroma_map(sample_rate, n_fft, tuning_hz):
+    return build_chroma_map(sample_rate, n_fft, tuning_hz)
 
 
-def _banks_for(params: FeatureParams) -> _Banks:
-    banks = _bank_cache.get(params)
-    if banks is None:
-        banks = _Banks(params=params)
-        _bank_cache[params] = banks
-    return banks
+@functools.lru_cache(maxsize=None)
+def _cqt_kernel(sample_rate, fmin, n_bins, bins_per_octave):
+    return build_cqt_kernel(sample_rate, fmin, n_bins, bins_per_octave)
 
 
 def extract_feature_matrices(
@@ -87,7 +85,6 @@ def extract_feature_matrices(
             "resample on ingest"
         )
 
-    banks = _banks_for(params)
     out: dict[str, FeatureMatrix] = {}
 
     if any(k in _STFT_KINDS for k in kinds):
@@ -95,11 +92,10 @@ def extract_feature_matrices(
         power = power_spectrogram(spec)
 
         if any(k in ("mel", "mfcc", "cyclic_tempogram") for k in kinds):
-            if banks.mel_bank is None:
-                banks.mel_bank = build_mel_filterbank(
-                    params.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
-                )
-            mel = mel_spectrogram(power, banks.mel_bank)
+            bank = _mel_bank(
+                params.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
+            )
+            mel = mel_spectrogram(power, bank)
             if "mel" in kinds:
                 out["mel"] = mel
             if "mfcc" in kinds:
@@ -118,23 +114,18 @@ def extract_feature_matrices(
                 )
 
         if "chroma_stft" in kinds:
-            if banks.chroma_map is None:
-                banks.chroma_map = build_chroma_map(
-                    params.sample_rate, params.n_fft, params.tuning_hz
-                )
-            out["chroma_stft"] = stft_chromagram(power, banks.chroma_map)
+            chroma_map = _chroma_map(params.sample_rate, params.n_fft, params.tuning_hz)
+            out["chroma_stft"] = stft_chromagram(power, chroma_map)
 
     if any(k in _CQT_KINDS for k in kinds):
-        if banks.cqt_kernel is None:
-            banks.cqt_kernel = build_cqt_kernel(
-                params.sample_rate, params.cqt_fmin, params.cqt_bins, params.bins_per_octave
-            )
-        mags = cqt(clip, banks.cqt_kernel, params.hop)
+        kernel = _cqt_kernel(
+            params.sample_rate, params.cqt_fmin, params.cqt_bins, params.bins_per_octave
+        )
+        raw = fold_cqt_to_chroma(cqt(clip, kernel, params.hop), params.bins_per_octave)
         hop_seconds = params.hop / params.sample_rate
         if "chroma_cqt" in kinds:
-            out["chroma_cqt"] = cqt_chromagram(mags, params.bins_per_octave, hop_seconds)
+            out["chroma_cqt"] = cqt_chromagram(raw, hop_seconds)
         if "chroma_cens" in kinds:
-            raw = fold_cqt_to_chroma(mags, params.bins_per_octave)
             out["chroma_cens"] = cens_chromagram(raw, hop_seconds)
 
     return out

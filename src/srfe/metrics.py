@@ -85,13 +85,9 @@ def macro_average(values) -> float:
 
 
 def _aggregate_by_group(counts: np.ndarray, group_size: int) -> np.ndarray:
-    n = counts.shape[0]
-    n_groups = (n - 1) // group_size + 1
-    out = np.zeros((n_groups, n_groups), dtype=np.int64)
-    for t in range(n):
-        for p in range(n):
-            out[t // group_size, p // group_size] += counts[t, p]
-    return out
+    """Sum counts over consecutive label groups; a short last group is kept."""
+    starts = np.arange(0, counts.shape[0], group_size)
+    return np.add.reduceat(np.add.reduceat(counts, starts, axis=0), starts, axis=1)
 
 
 def to_category_level(class_cm: ConfusionMatrix) -> ConfusionMatrix:

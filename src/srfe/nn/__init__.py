@@ -4,7 +4,7 @@ Everything runs on plain numpy arrays in NHWC layout.  Training is float32;
 the gradient checker builds the same code path in float64.
 """
 
-from .model import ConvNet, init_model
+from .model import ConvNet
 from .optim import AdamState, adam_step, init_adam
 from .schedule import PlateauPolicy
 from .train import TrainConfig, TrainHistory, evaluate, train
@@ -13,7 +13,6 @@ from .gradcheck import max_relative_gradient_error
 
 __all__ = [
     "ConvNet",
-    "init_model",
     "AdamState",
     "init_adam",
     "adam_step",

@@ -93,19 +93,18 @@ def load_checkpoint(path) -> ConvNet:
     if meta.size != 6 + n_conv:
         raise CheckpointError(f"{path}: malformed {_META_KEY!r} tensor")
 
-    model = ConvNet(
-        input_height=int(meta[0]),
-        input_width=int(meta[1]),
-        n_classes=int(meta[2]),
-        dense_units=int(meta[3]),
-        dropout_rate=float(meta[4]),
-        conv_filters=tuple(int(f) for f in meta[6 : 6 + n_conv]),
-    )
+    arch = {
+        "input_height": int(meta[0]),
+        "input_width": int(meta[1]),
+        "n_classes": int(meta[2]),
+        "dense_units": int(meta[3]),
+        "dropout_rate": float(meta[4]),
+        "conv_filters": tuple(int(f) for f in meta[6 : 6 + n_conv]),
+    }
     try:
-        model.load_state(tensors)
+        return ConvNet.from_state(arch, tensors)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    return model
 
 
 def write_history_csv(history: TrainHistory, path) -> None:

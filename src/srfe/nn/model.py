@@ -16,9 +16,13 @@ built with the same arguments are bitwise identical.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import layers
+
+RUNNING_KEYS = ("bn/mean", "bn/var")
 
 
 class ConvNet:
@@ -33,6 +37,36 @@ class ConvNet:
         dropout_rate: float = 0.5,
         dtype=np.float32,
     ):
+        self._configure(input_height, input_width, n_classes, conv_filters, dense_units, dropout_rate)
+        self.seed = seed
+        self.dtype = dtype
+        rng = np.random.default_rng(seed)
+        state = {}
+        for name, shape in self.tensor_shapes().items():
+            if name.endswith("/w") and name != "head/w":  # He: std sqrt(2 / fan_in)
+                value = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[:-1])), size=shape)
+            elif name in ("bn/gamma", "bn/var"):
+                value = np.ones(shape)
+            else:  # biases, bn/beta, bn/mean and the zero classifier
+                value = np.zeros(shape)
+            state[name] = value.astype(dtype)
+        self._assign(state)
+
+    @classmethod
+    def from_state(cls, arch: dict, state: dict[str, np.ndarray]) -> "ConvNet":
+        """A float32 model holding `state`, built without drawing initial weights.
+
+        `arch` holds the constructor's arguments but seed and dtype; a missing
+        or mis-shaped tensor raises ValueError naming it.
+        """
+        model = cls.__new__(cls)
+        model._configure(**arch)
+        model.seed = 0
+        model.dtype = np.float32
+        model.load_state(state)
+        return model
+
+    def _configure(self, input_height, input_width, n_classes, conv_filters, dense_units, dropout_rate):
         min_dim = 2 ** len(conv_filters)
         if input_height < min_dim or input_width < min_dim:
             raise ValueError(
@@ -45,45 +79,38 @@ class ConvNet:
         self.input_height = input_height
         self.input_width = input_width
         self.n_classes = n_classes
-        self.seed = seed
         self.conv_filters = tuple(int(f) for f in conv_filters)
         self.dense_units = dense_units
         self.dropout_rate = dropout_rate
-        self.dtype = dtype
 
         h, w = input_height, input_width
         for _ in self.conv_filters:
             h, w = h // 2, w // 2
+        self.pooled_shape = (h, w, self.conv_filters[-1])  # after the last pool
         self.flat_dim = h * w * self.conv_filters[-1]
 
-        rng = np.random.default_rng(seed)
-        self._rng = np.random.default_rng(seed + 1)  # dropout stream
-
-        self.params: dict[str, np.ndarray] = {
-            "bn/gamma": np.ones(input_height, dtype=dtype),
-            "bn/beta": np.zeros(input_height, dtype=dtype),
-        }
-        self.running: dict[str, np.ndarray] = {
-            "bn/mean": np.zeros(input_height, dtype=dtype),
-            "bn/var": np.ones(input_height, dtype=dtype),
-        }
-
+    def tensor_shapes(self) -> dict[str, tuple]:
+        """Shape of every parameter and running statistic, in He-init draw order."""
+        h = self.input_height
+        shapes = {"bn/gamma": (h,), "bn/beta": (h,), "bn/mean": (h,), "bn/var": (h,)}
         cin = 1
         for i, cout in enumerate(self.conv_filters, start=1):
-            fan_in = 9 * cin
-            self.params[f"conv{i}/w"] = rng.normal(
-                0.0, np.sqrt(2.0 / fan_in), size=(3, 3, cin, cout)
-            ).astype(dtype)
-            self.params[f"conv{i}/b"] = np.zeros(cout, dtype=dtype)
+            shapes[f"conv{i}/w"] = (3, 3, cin, cout)
+            shapes[f"conv{i}/b"] = (cout,)
             cin = cout
+        shapes["fc/w"] = (self.flat_dim, self.dense_units)
+        shapes["fc/b"] = (self.dense_units,)
+        shapes["head/w"] = (self.dense_units, self.n_classes)
+        shapes["head/b"] = (self.n_classes,)
+        return shapes
 
-        self.params["fc/w"] = rng.normal(
-            0.0, np.sqrt(2.0 / self.flat_dim), size=(self.flat_dim, dense_units)
-        ).astype(dtype)
-        self.params["fc/b"] = np.zeros(dense_units, dtype=dtype)
-        # Zero classifier: the untrained model predicts the uniform distribution.
-        self.params["head/w"] = np.zeros((dense_units, n_classes), dtype=dtype)
-        self.params["head/b"] = np.zeros(n_classes, dtype=dtype)
+    def _assign(self, state: dict[str, np.ndarray]) -> None:
+        self.params = {k: v for k, v in state.items() if k not in RUNNING_KEYS}
+        self.running = {k: state[k] for k in RUNNING_KEYS}
+
+    @functools.cached_property
+    def _rng(self):  # dropout stream for training passes given no generator
+        return np.random.default_rng(self.seed + 1)
 
     # -- forward ---------------------------------------------------------
 
@@ -150,10 +177,7 @@ class ConvNet:
         da = layers.relu_backward(da, caches["fc_out"])
         da, grads["fc/w"], grads["fc/b"] = layers.dense_backward(da, caches["fc_x"], p["fc/w"])
 
-        h, w = self.input_height, self.input_width
-        for _ in self.conv_filters:
-            h, w = h // 2, w // 2
-        da = da.reshape(da.shape[0], h, w, self.conv_filters[-1])
+        da = da.reshape(da.shape[0], *self.pooled_shape)
 
         for i in range(len(self.conv_filters), 0, -1):
             xp, mask, pool = caches.pop(f"conv{i}")  # free layer caches as we go
@@ -190,17 +214,11 @@ class ConvNet:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for target in (self.params, self.running):
-            for key, value in target.items():
-                if key not in state:
-                    raise ValueError(f"state is missing tensor {key!r}")
-                if state[key].shape != value.shape:
-                    raise ValueError(
-                        f"tensor {key!r} has shape {state[key].shape}, expected {value.shape}"
-                    )
-                target[key] = state[key].astype(value.dtype).copy()
-
-
-def init_model(input_height: int, input_width: int, n_classes: int = 50, seed: int = 0, **kwargs) -> ConvNet:
-    """Build a freshly initialized classifier (see ConvNet for the layout)."""
-    return ConvNet(input_height, input_width, n_classes=n_classes, seed=seed, **kwargs)
+        checked = {}
+        for key, shape in self.tensor_shapes().items():
+            if key not in state:
+                raise ValueError(f"state is missing tensor {key!r}")
+            if state[key].shape != shape:
+                raise ValueError(f"tensor {key!r} has shape {state[key].shape}, expected {shape}")
+            checked[key] = state[key].astype(self.dtype)
+        self._assign(checked)

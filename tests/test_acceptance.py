@@ -31,7 +31,7 @@ from srfe.metrics import (
     per_label_precision_recall_f1,
     to_category_level,
 )
-from srfe.nn import ConvNet, PlateauPolicy, adam_step, init_adam, init_model
+from srfe.nn import ConvNet, PlateauPolicy, adam_step, init_adam
 from srfe.nn.gradcheck import max_relative_gradient_error
 
 # Epoch budget for the desk-scale ranking runs (criterion 9).
@@ -157,7 +157,7 @@ def test_criterion_6_overfit_smoke():
     x = rng.random((10, 128, 216, 1), dtype=np.float32)
     y = rng.integers(0, 50, 10)
 
-    model = init_model(128, 216, 50, seed=3)
+    model = ConvNet(128, 216, 50, seed=3)
     start_loss, _ = model.loss_and_grads(x, y, rng=np.random.default_rng(0))
     uniform_ok = abs(start_loss - np.log(50)) < 0.01
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
+from srfe import cli
 from srfe.cli import cmd_report, main
 from srfe.config import RunConfig
 from srfe.features import FEATURE_KINDS, read_feature_file
@@ -53,6 +55,35 @@ class TestConfig:
         # A flag overrides the file value.
         assert main(["split", "--config", str(cfg_path), "--seed", "4"]) == 0
         assert json.loads(split_file.read_text())["seed"] == 4
+
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [("extract", "feature_dir"), ("split", "split_file"), ("train", "checkpoint"), ("eval", "report_dir")],
+    )
+    def test_out_flag_lands_in_its_field(self, monkeypatch, tmp_path, command, field):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg: seen.append(cfg) or 0)
+        assert main([command, "--out", str(tmp_path / "out")]) == 0
+        defaults = RunConfig()
+        for name in ("feature_dir", "split_file", "checkpoint", "report_dir"):
+            expected = str(tmp_path / "out") if name == field else getattr(defaults, name)
+            assert getattr(seen[0], name) == expected
+
+    def test_config_spectral_key_reaches_extractor(self, small_corpus, tmp_path, caplog):
+        root, manifest = small_corpus
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"n_mfcc": 200}))
+        with caplog.at_level(logging.ERROR, logger="srfe"):
+            rc = main([
+                "extract", "--feature", "mfcc", "--config", str(cfg_path),
+                "--audio-dir", str(root / "audio"),
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / "features"),
+                "--workers", "1",
+            ])
+        assert rc == 1
+        assert "n_mfcc=200" in caplog.text
 
 
 class TestExtract:
@@ -200,10 +231,10 @@ class TestSplitTrainEval:
         np.testing.assert_allclose(report["per_class"]["f1"], f1, atol=1e-12)
 
     def test_checkpoint_architecture_mismatch(self, small_corpus, tmp_path):
-        from srfe.nn import init_model, save_checkpoint
+        from srfe.nn import ConvNet, save_checkpoint
 
         root, manifest = small_corpus
-        small_model = init_model(16, 16, 5, seed=0, conv_filters=(4,), dense_units=8)
+        small_model = ConvNet(16, 16, 5, seed=0, conv_filters=(4,), dense_units=8)
         bad_ckpt = tmp_path / "small.srnn"
         save_checkpoint(small_model, bad_ckpt)
         rc = main([

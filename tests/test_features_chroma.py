@@ -140,7 +140,7 @@ class TestCqtChroma:
     def test_energy_in_bin_zero_maps_to_class_zero(self):
         mags = np.zeros((84, 3))
         mags[0] = 1.0
-        chroma = cqt_chromagram(mags)
+        chroma = cqt_chromagram(fold_cqt_to_chroma(mags))
         assert chroma.kind == "chroma_cqt"
         assert np.all(chroma.values.argmax(axis=0) == 0)
 
@@ -155,7 +155,7 @@ class TestCqtChroma:
     def test_synthesized_a4(self):
         clip = AudioClip(synth.tone(440.0, duration=3.0), synth.SR)
         mags = cqt(clip, build_cqt_kernel(22050), hop=512)
-        chroma = cqt_chromagram(mags).values
+        chroma = cqt_chromagram(fold_cqt_to_chroma(mags)).values
         interior = chroma[:, 4:-4]
         assert np.mean(interior.argmax(axis=0) == 9) >= 0.95
 

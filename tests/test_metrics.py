@@ -164,6 +164,20 @@ class TestCategoryAggregation:
                 expected[t // 10, p // 10] += counts[t, p]
         np.testing.assert_array_equal(cat.counts, expected)
 
+    @pytest.mark.parametrize("n_labels", [5, 23])
+    def test_short_last_group_kept(self, n_labels):
+        # Reports over fewer than 50 labels group them by tens too; a last
+        # group of fewer than ten labels is a category of its own.
+        rng = np.random.default_rng(n_labels)
+        y_true = rng.integers(0, n_labels, 200)
+        y_pred = rng.integers(0, n_labels, 200)
+        report = build_eval_report(y_true, y_pred, n_labels=n_labels)
+        n_groups = (n_labels + 9) // 10
+        expected = np.zeros((n_groups, n_groups), dtype=np.int64)
+        for t, p in zip(y_true, y_pred):
+            expected[t // 10, p // 10] += 1
+        np.testing.assert_array_equal(report.category_confusion.counts, expected)
+
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             to_category_level(ConfusionMatrix(np.zeros((10, 10), dtype=np.int64)))

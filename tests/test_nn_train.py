@@ -5,11 +5,11 @@ import pytest
 
 from srfe.errors import CheckpointError
 from srfe.nn import (
+    ConvNet,
     PlateauPolicy,
     TrainConfig,
     adam_step,
     init_adam,
-    init_model,
     load_checkpoint,
     read_history_csv,
     save_checkpoint,
@@ -109,7 +109,7 @@ class TestPlateauPolicy:
 
 
 def tiny_model(seed=0, n_classes=3):
-    return init_model(16, 16, n_classes, seed=seed, conv_filters=(4,), dense_units=8)
+    return ConvNet(16, 16, n_classes, seed=seed, conv_filters=(4,), dense_units=8)
 
 
 def toy_data(n, n_classes=3, seed=0):
@@ -189,6 +189,32 @@ class TestCheckpoint:
         for key in model.params:
             np.testing.assert_array_equal(loaded.params[key], model.params[key])
         np.testing.assert_allclose(loaded.forward(x), model.forward(x), atol=1e-6)
+
+    @pytest.mark.parametrize("defect, tensor", [(None, None), ("missing", "fc/b"), ("misshaped", "conv1/w")])
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, defect, tensor):
+        model = tiny_model(seed=11)
+        if defect == "missing":
+            del model.params[tensor]
+        elif defect == "misshaped":
+            model.params[tensor] = model.params[tensor][..., :2]
+        path = tmp_path / "model.srnn"
+        save_checkpoint(model, path)
+        x, _ = toy_data(4, seed=11)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading a checkpoint must not draw random weights")
+
+        monkeypatch.setattr("srfe.nn.model.np.random.default_rng", no_draws)
+        if defect is None:
+            loaded = load_checkpoint(path)
+            saved = model.state_copy()
+            assert loaded.state_copy().keys() == saved.keys()
+            for key, value in saved.items():
+                np.testing.assert_array_equal(loaded.state_copy()[key], value)
+            np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+        else:
+            with pytest.raises(CheckpointError, match=tensor):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.srnn"
