@@ -20,6 +20,7 @@ from .errors import DecodeError, EmptyAudioError, UnsupportedFormatError
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+RESAMPLE_HALF_WIDTH = 32  # one-sided sinc support, in output-side zero crossings
 
 
 @dataclass
@@ -32,10 +33,6 @@ class AudioClip:
     samples: np.ndarray
     sample_rate: int
     source_path: str | None = field(default=None)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -122,6 +119,9 @@ def load_wav(path) -> AudioClip:
             raise UnsupportedFormatError(f"{path}: {bits}-bit float not supported")
         payload = payload[: len(payload) - len(payload) % (4 * channels)]
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+        n_bad = np.count_nonzero(~np.isfinite(samples))
+        if n_bad:
+            raise DecodeError(f"{path}: {n_bad} non-finite samples")
         samples = np.clip(samples, -1.0, 1.0)
     else:
         raise UnsupportedFormatError(f"{path}: codec tag 0x{tag:04x} is not PCM")
@@ -160,11 +160,11 @@ def write_wav(clip: AudioClip, path) -> None:
         fh.write(raw)
 
 
-def resample(clip: AudioClip, target_rate: int, half_width: int = 32) -> AudioClip:
+def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited resampling with a Hann-windowed sinc kernel.
 
-    The kernel cutoff sits at min(input Nyquist, output Nyquist).  half_width
-    is the one-sided kernel support in *output-side* zero crossings; the
+    The kernel cutoff sits at min(input Nyquist, output Nyquist).  The kernel
+    spans RESAMPLE_HALF_WIDTH *output-side* zero crossings per side; the
     input-side support widens by 1/ratio when downsampling.
     """
     if target_rate <= 0:
@@ -179,7 +179,7 @@ def resample(clip: AudioClip, target_rate: int, half_width: int = 32) -> AudioCl
         return AudioClip(np.zeros(0, dtype=np.float32), target_rate, clip.source_path)
 
     cutoff = min(1.0, ratio)  # 1.0 == input Nyquist
-    support = half_width / cutoff  # input samples per side
+    support = RESAMPLE_HALF_WIDTH / cutoff  # input samples per side
     k = int(np.ceil(support))
 
     x = np.pad(clip.samples.astype(np.float64), (k, k))

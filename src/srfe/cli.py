@@ -23,11 +23,11 @@ import numpy as np
 from .audio import load_wav, pad_or_trim, resample
 from .config import RunConfig
 from .dataset import parse_manifest, read_split, stratified_split, write_split
-from .errors import SrfeError
+from .errors import ManifestError, SrfeError
 from .features import FEATURE_KINDS, read_feature_file, write_feature_file
 from .features.pipeline import extract_feature_images
 from .metrics import build_eval_report
-from .nn import TrainConfig, load_checkpoint, save_checkpoint, train, write_history_csv
+from .nn import load_checkpoint, save_checkpoint, train, write_history_csv
 from .nn.model import ConvNet
 
 log = logging.getLogger("srfe")
@@ -132,47 +132,41 @@ def cmd_split(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_feature_set(cfg: RunConfig, filenames: list[str], labels_by_name: dict[str, int]):
+def _load_split(cfg: RunConfig, command: str, parts: tuple[str, ...]):
+    """The canonical-kind config and one (images, labels) pair per split part."""
+    if cfg.feature == "all":
+        raise ValueError(f"{command} works on one feature kind at a time")
+    cfg = cfg.with_overrides(feature=_canonical_feature(cfg.feature))
+    labels_by_name = {rec.filename: rec.class_id for rec in parse_manifest(cfg.manifest)}
+    split = read_split(cfg.split_file)
     kind_dir = Path(cfg.feature_dir) / cfg.feature
-    images = []
-    labels = []
-    for filename in filenames:
-        path = kind_dir / f"{Path(filename).stem}.srf"
-        if not path.exists():
-            raise FileNotFoundError(f"missing feature file {path} for clip {filename!r}")
-        images.append(read_feature_file(path).values)
-        labels.append(labels_by_name[filename])
-    x = np.stack(images)[..., None].astype(np.float32)
-    y = np.asarray(labels, dtype=np.int64)
-    return x, y
+    sets = []
+    for part in parts:
+        images, labels = [], []
+        for filename in split[part]:
+            if filename not in labels_by_name:
+                raise ManifestError(
+                    f"{cfg.split_file}: clip {filename!r} is not in manifest {cfg.manifest}"
+                )
+            path = kind_dir / f"{Path(filename).stem}.srf"
+            if not path.exists():
+                raise FileNotFoundError(f"missing feature file {path} for clip {filename!r}")
+            images.append(read_feature_file(path).values)
+            labels.append(labels_by_name[filename])
+        x = np.stack(images)[..., None].astype(np.float32)
+        sets.append((x, np.asarray(labels, dtype=np.int64)))
+    return cfg, sets
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    if cfg.feature == "all":
-        raise ValueError("train works on one feature kind at a time")
-    cfg = cfg.with_overrides(feature=_canonical_feature(cfg.feature))
-    records = parse_manifest(cfg.manifest)
-    labels_by_name = {rec.filename: rec.class_id for rec in records}
-    split = read_split(cfg.split_file)
-    train_x, train_y = _load_feature_set(cfg, split["train"], labels_by_name)
-    val_x, val_y = _load_feature_set(cfg, split["validation"], labels_by_name)
-
+    cfg, ((train_x, train_y), (val_x, val_y)) = _load_split(cfg, "train", ("train", "validation"))
     model = ConvNet(
         input_height=train_x.shape[1],
         input_width=train_x.shape[2],
         n_classes=cfg.n_classes,
         seed=cfg.seed,
     )
-    tc = TrainConfig(
-        batch_size=cfg.batch_size,
-        initial_lr=cfg.initial_lr,
-        max_epochs=cfg.epochs,
-        lr_reduce_factor=cfg.lr_reduce_factor,
-        lr_patience=cfg.lr_patience or None,
-        early_stop_patience=cfg.early_stop_patience or None,
-        seed=cfg.seed,
-    )
-    model, history = train(model, train_x, train_y, val_x, val_y, tc)
+    model, history = train(model, train_x, train_y, val_x, val_y, cfg)
 
     Path(cfg.checkpoint).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, cfg.checkpoint)
@@ -185,14 +179,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    if cfg.feature == "all":
-        raise ValueError("eval works on one feature kind at a time")
-    cfg = cfg.with_overrides(feature=_canonical_feature(cfg.feature))
-    records = parse_manifest(cfg.manifest)
-    labels_by_name = {rec.filename: rec.class_id for rec in records}
-    split = read_split(cfg.split_file)
-    val_x, val_y = _load_feature_set(cfg, split["validation"], labels_by_name)
-
+    cfg, ((val_x, val_y),) = _load_split(cfg, "eval", ("validation",))
     model = load_checkpoint(cfg.checkpoint)
     if val_x.shape[1:3] != (model.input_height, model.input_width):
         raise ValueError(

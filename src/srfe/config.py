@@ -1,8 +1,9 @@
 """Run configuration: defaults, config-file loading, flag overrides.
 
-RunConfig extends the extraction parameters (`FeatureParams`) with paths,
-ingest, split, training and worker settings, so each spectral field and its
-default is declared once and a RunConfig goes straight to the extractor.
+RunConfig extends both parameter classes: the extraction parameters
+(`FeatureParams`) and the training parameters (`TrainConfig`), adding paths,
+ingest, split and worker settings.  Each field and its default is declared
+once, and a RunConfig goes straight to the extractor and to `train()`.
 
 Precedence is flags over config file over built-in defaults.  The config
 file is a flat JSON object whose keys are exactly the RunConfig field
@@ -17,10 +18,11 @@ import os
 from dataclasses import dataclass
 
 from .features.pipeline import FeatureParams
+from .nn.train import TrainConfig
 
 
 @dataclass(frozen=True)
-class RunConfig(FeatureParams):
+class RunConfig(FeatureParams, TrainConfig):
     # What to extract / train on.
     feature: str = "mel"
     # Paths.
@@ -35,16 +37,9 @@ class RunConfig(FeatureParams):
     clip_seconds: float = 5.0
     # Split.
     train_fraction: float = 0.8
-    # Training.
+    # Training (the optimiser and callback fields come from TrainConfig).
     n_classes: int = 50
-    batch_size: int = 32
-    initial_lr: float = 0.001
-    epochs: int = 50
-    lr_reduce_factor: float = 0.1
-    lr_patience: int = 2
-    early_stop_patience: int = 6
     # Misc.
-    seed: int = 0
     workers: int = 0  # 0 -> one per logical core
 
     @property

@@ -69,10 +69,6 @@ class PowerSpectrogram:
         return self.values.shape[1]
 
     @property
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.bins) * (self.sample_rate / self.n_fft)
-
-    @property
     def hop_seconds(self) -> float:
         return self.hop / self.sample_rate
 

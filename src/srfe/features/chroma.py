@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dsp import PowerSpectrogram
+from ..dsp import PowerSpectrogram, make_window
 from .types import FeatureMatrix
 
 N_PITCH_CLASSES = 12
@@ -135,7 +135,7 @@ def build_cqt_kernel(
     for f_k in centers:
         n_k = int(np.ceil(q * sample_rate / f_k))
         n = np.arange(n_k)
-        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / n_k)
+        window = make_window("hann", n_k)
         phase = np.exp(-2j * np.pi * f_k * (n - n_k / 2.0) / sample_rate)
         filters.append((window * phase / window.sum()).astype(np.complex64))
 

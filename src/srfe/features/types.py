@@ -64,7 +64,3 @@ class FeatureImage:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return 1

@@ -12,6 +12,8 @@ History is a plain CSV: epoch, train_loss, train_acc, val_loss, val_acc, lr.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 
 import numpy as np
@@ -69,6 +71,7 @@ def _read_exact(fh, n: int, path) -> bytes:
 def load_checkpoint(path) -> ConvNet:
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, path) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, expected {MAGIC!r}")
         version = struct.unpack("<B", _read_exact(fh, 1, path))[0]
@@ -80,8 +83,12 @@ def load_checkpoint(path) -> ConvNet:
             name = _read_exact(fh, name_len, path).decode("utf-8")
             rank = struct.unpack("<B", _read_exact(fh, 1, path))[0]
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
-            size = int(np.prod(dims)) if rank else 1
-            data = _read_exact(fh, 4 * size, path)
+            need, left = 4 * math.prod(dims), file_size - fh.tell()
+            if need > left:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} of shape {dims} needs {need} bytes, {left} left"
+                )
+            data = _read_exact(fh, need, path)
             tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
 
     if _META_KEY not in tensors:

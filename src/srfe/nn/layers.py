@@ -71,9 +71,10 @@ def conv3x3_backward(dout, xp, w):
     return dxp[:, 1 : h + 1, 1 : wd + 1, :], dw, db
 
 
-def relu_forward(x, inplace: bool = False):
-    out = np.maximum(x, 0, out=x if inplace else None)
-    return out, out
+def relu_forward(x):
+    """In place: x is overwritten and returned as both output and cache."""
+    np.maximum(x, 0, out=x)
+    return x, x
 
 
 def relu_backward(dout, out):

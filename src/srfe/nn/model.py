@@ -3,10 +3,12 @@
 Layer order is fixed:
 
     batchnorm (per frequency row)
-    -> [conv 3x3 same + relu -> maxpool 2x2] x len(conv_filters)
+    -> [conv 3x3 same -> maxpool 2x2 -> relu] x len(conv_filters)
     -> flatten -> dense + relu -> dropout -> dense -> softmax
 
 with conv widths (64, 128, 256, 256) and a 256-unit hidden layer by default.
+Pooling before the ReLU gives the same values as the other order (both are
+monotone) on a quarter of the elements.
 Convolution and hidden-dense weights use He initialization (normal with
 std sqrt(2 / fan_in)); the classifier layer starts at exactly zero so the
 initial output is the uniform distribution and the initial loss is
@@ -132,12 +134,12 @@ class ConvNet:
         )
         for i in range(1, len(self.conv_filters) + 1):
             a, xp = layers.conv3x3_forward(a, p[f"conv{i}/w"], p[f"conv{i}/b"])
-            a, mask = layers.relu_forward(a, inplace=True)
             a, pool = layers.maxpool2x2_forward(a)
-            caches[f"conv{i}"] = (xp, mask, pool)
+            a, mask = layers.relu_forward(a)
+            caches[f"conv{i}"] = (xp, pool, mask)
         a = a.reshape(a.shape[0], self.flat_dim)
         a, caches["fc_x"] = layers.dense_forward(a, p["fc/w"], p["fc/b"])
-        a, caches["fc_out"] = layers.relu_forward(a, inplace=True)
+        a, caches["fc_out"] = layers.relu_forward(a)
         if training and self.dropout_rate > 0.0:
             a, caches["drop"] = layers.dropout_forward(a, self.dropout_rate, rng or self._rng)
         else:
@@ -145,9 +147,9 @@ class ConvNet:
         logits, caches["head_x"] = layers.dense_forward(a, p["head/w"], p["head/b"])
         return logits, caches
 
-    def forward(self, x, training: bool = False, rng=None):
-        """Class probabilities, one row per sample."""
-        logits, _ = self._forward(self._check_input(x), training, rng)
+    def forward(self, x):
+        """Eval-mode class probabilities, one row per sample."""
+        logits, _ = self._forward(self._check_input(x), False, None)
         return layers.softmax(logits)
 
     def loss_and_grads(self, x, labels, rng=None, return_probs: bool = False):
@@ -180,9 +182,9 @@ class ConvNet:
         da = da.reshape(da.shape[0], *self.pooled_shape)
 
         for i in range(len(self.conv_filters), 0, -1):
-            xp, mask, pool = caches.pop(f"conv{i}")  # free layer caches as we go
-            da = layers.maxpool2x2_backward(da, pool)
+            xp, pool, mask = caches.pop(f"conv{i}")  # free layer caches as we go
             da = layers.relu_backward(da, mask)
+            da = layers.maxpool2x2_backward(da, pool)
             da, grads[f"conv{i}/w"], grads[f"conv{i}/b"] = layers.conv3x3_backward(
                 da, xp, p[f"conv{i}/w"]
             )
@@ -201,7 +203,7 @@ class ConvNet:
         large evaluation sets.  Ties break toward the lower class id.
         """
         x = self._check_input(x)
-        probs = np.empty((x.shape[0], self.n_classes), dtype=np.float64)
+        probs = np.empty((x.shape[0], self.n_classes), dtype=self.dtype)
         for lo in range(0, x.shape[0], batch_size):
             probs[lo : lo + batch_size] = self.forward(x[lo : lo + batch_size])
         return probs.argmax(axis=1), probs

@@ -26,13 +26,7 @@ def init_adam(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
     """One first/second-moment update over every parameter tensor."""
     for key, p in params.items():
@@ -41,14 +35,14 @@ def adam_step(
                 f"gradient for {key!r} has shape {grads[key].shape}, expected {p.shape}"
             )
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for key, p in params.items():
         g = grads[key]
         m = state.m[key]
         v = state.v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import PROB_FLOOR
 from .model import ConvNet
 from .optim import adam_step, init_adam
 from .schedule import PlateauPolicy
@@ -14,14 +15,16 @@ from .schedule import PlateauPolicy
 log = logging.getLogger("srfe.train")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training fields of a run; RunConfig extends this class under the same names."""
+
     batch_size: int = 32
     initial_lr: float = 0.001
-    max_epochs: int = 50
+    epochs: int = 50
     lr_reduce_factor: float = 0.1
-    lr_patience: int | None = 2
-    early_stop_patience: int | None = 6
+    lr_patience: int = 2
+    early_stop_patience: int = 6
     seed: int = 0
 
 
@@ -40,18 +43,11 @@ class TrainHistory:
 
 def evaluate(model: ConvNet, x, y, batch_size: int = 32) -> tuple[float, float]:
     """Eval-mode loss and accuracy over a labeled set."""
-    from .layers import PROB_FLOOR
-
     y = np.asarray(y, dtype=np.int64)
-    losses = np.empty(y.shape[0])
-    correct = 0
-    for lo in range(0, y.shape[0], batch_size):
-        hi = min(lo + batch_size, y.shape[0])
-        probs = model.forward(x[lo:hi])
-        picked = probs[np.arange(hi - lo), y[lo:hi]]
-        losses[lo:hi] = -np.log(np.maximum(picked, PROB_FLOOR))
-        correct += int((probs.argmax(axis=1) == y[lo:hi]).sum())
-    return float(losses.mean()), correct / y.shape[0]
+    labels, probs = model.predict(x, batch_size)
+    # The log runs in the model dtype and the mean in float64.
+    losses = -np.log(np.maximum(probs[np.arange(y.shape[0]), y], PROB_FLOOR))
+    return float(losses.astype(np.float64).mean()), int((labels == y).sum()) / y.shape[0]
 
 
 def train(model: ConvNet, train_x, train_y, val_x, val_y, cfg: TrainConfig):
@@ -61,8 +57,9 @@ def train(model: ConvNet, train_x, train_y, val_x, val_y, cfg: TrainConfig):
     then scores the validation set in eval mode.  The learning rate drops by
     cfg.lr_reduce_factor after cfg.lr_patience consecutive epochs without a
     strictly lower validation loss; training stops after
-    cfg.early_stop_patience such epochs.  The returned model carries the
-    parameters of the best-validation-loss epoch.
+    cfg.early_stop_patience such epochs; a patience of 0 turns that callback
+    off.  The returned model carries the parameters of the best-validation-loss
+    epoch.  A non-finite training or validation loss raises ValueError.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
     val_y = np.asarray(val_y, dtype=np.int64)
@@ -73,15 +70,15 @@ def train(model: ConvNet, train_x, train_y, val_x, val_y, cfg: TrainConfig):
     policy = PlateauPolicy(
         initial_lr=cfg.initial_lr,
         reduce_factor=cfg.lr_reduce_factor,
-        lr_patience=cfg.lr_patience,
-        stop_patience=cfg.early_stop_patience,
+        lr_patience=cfg.lr_patience or None,
+        stop_patience=cfg.early_stop_patience or None,
     )
     adam = init_adam(model.params)
     history = TrainHistory()
     best_state = model.state_copy()
     n = train_y.shape[0]
 
-    for epoch in range(cfg.max_epochs):
+    for epoch in range(cfg.epochs):
         lr = policy.lr
         order = rng.permutation(n)
         batch_losses = []
@@ -91,6 +88,9 @@ def train(model: ConvNet, train_x, train_y, val_x, val_y, cfg: TrainConfig):
             xb = train_x[sel]
             yb = train_y[sel]
             loss, grads, probs = model.loss_and_grads(xb, yb, rng=rng, return_probs=True)
+            if not np.isfinite(loss):
+                batch = lo // cfg.batch_size + 1
+                raise ValueError(f"non-finite training loss at epoch {epoch + 1}, batch {batch}")
             adam_step(model.params, grads, adam, lr)
             batch_losses.append(loss * len(sel))
             batch_correct += int((probs.argmax(axis=1) == yb).sum())
@@ -98,6 +98,8 @@ def train(model: ConvNet, train_x, train_y, val_x, val_y, cfg: TrainConfig):
         train_loss = float(np.sum(batch_losses) / n)
         train_acc = batch_correct / n
         val_loss, val_acc = evaluate(model, val_x, val_y, cfg.batch_size)
+        if not np.isfinite(val_loss):
+            raise ValueError(f"non-finite validation loss at epoch {epoch + 1}")
 
         history.train_loss.append(train_loss)
         history.train_acc.append(train_acc)

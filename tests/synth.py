@@ -11,6 +11,7 @@ chroma frames from encoding the temporal envelope.
 from __future__ import annotations
 
 import csv
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,18 @@ SR = 22050
 CORPUS_CLASSES = ["tone", "noise_burst", "chirp", "am_noise", "clicks"]
 
 NOISE_FLOOR = 0.02
+
+
+def wav_bytes(payload: bytes, fmt_tag=1, channels=1, sample_rate=44100, bits=16) -> bytes:
+    """A RIFF/WAVE file around a raw payload (fmt_tag 1 is PCM, 3 is float)."""
+    block = channels * (bits // 8)
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, fmt_tag, channels, sample_rate, sample_rate * block, block, bits,
+        b"data", len(payload),
+    )
+    return header + payload
 
 
 def time_axis(duration: float, sr: int = SR) -> np.ndarray:

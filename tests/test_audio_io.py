@@ -8,17 +8,7 @@ import pytest
 from srfe.audio import AudioClip, load_wav, pad_or_trim, resample, write_wav
 from srfe.dsp import naive_dft
 from srfe.errors import DecodeError, EmptyAudioError, UnsupportedFormatError
-
-
-def wav_bytes(payload: bytes, fmt_tag=1, channels=1, sample_rate=44100, bits=16) -> bytes:
-    block = channels * (bits // 8)
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, fmt_tag, channels, sample_rate, sample_rate * block, block, bits,
-        b"data", len(payload),
-    )
-    return header + payload
+from synth import wav_bytes
 
 
 def write_file(tmp_path, data: bytes, name="clip.wav"):
@@ -95,6 +85,14 @@ class TestLoadWav:
         write_wav(first, tmp_path / "b.wav")
         second = load_wav(tmp_path / "b.wav")
         np.testing.assert_array_equal(first.samples, second.samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad):
+        values = np.full(100, 0.25, dtype="<f4")
+        values[[10, 20]] = bad
+        path = write_file(tmp_path, wav_bytes(values.tobytes(), fmt_tag=3, bits=32))
+        with pytest.raises(DecodeError, match="2 non-finite samples"):
+            load_wav(path)
 
     def test_malformed_header(self, tmp_path):
         with pytest.raises(DecodeError):

@@ -12,7 +12,7 @@ import synth
 from srfe import cli
 from srfe.cli import cmd_report, main
 from srfe.config import RunConfig
-from srfe.features import FEATURE_KINDS, read_feature_file
+from srfe.features import FEATURE_KINDS, FeatureImage, read_feature_file, write_feature_file
 from srfe.metrics import build_eval_report
 
 
@@ -168,6 +168,33 @@ class TestExtract:
         # The valid clips still extracted.
         assert len(list((tmp_path / "features" / "mel").glob("*.srf"))) == 20
 
+    def test_non_finite_clip_fails_and_others_extract(self, small_corpus, tmp_path):
+        root, manifest = small_corpus
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        rows = manifest.read_text().splitlines()[:3]  # header and two clips
+        for row in rows[1:]:
+            name = row.split(",")[0]
+            (audio / name).write_bytes((root / "audio" / name).read_bytes())
+        samples = np.full(synth.SR * 5, 0.1, dtype="<f4")
+        samples[1000] = np.nan
+        (audio / "bad.wav").write_bytes(
+            synth.wav_bytes(samples.tobytes(), fmt_tag=3, sample_rate=synth.SR, bits=32)
+        )
+        rows.append("bad.wav,1,0,tone,False,bad.wav,A")
+        bad_manifest = tmp_path / "manifest.csv"
+        bad_manifest.write_text("\n".join(rows) + "\n")
+        rc = main([
+            "extract", "--feature", "mel",
+            "--audio-dir", str(audio),
+            "--manifest", str(bad_manifest),
+            "--out", str(tmp_path / "features"),
+            "--workers", "1",
+        ])
+        assert rc == 1
+        written = sorted(p.name for p in (tmp_path / "features" / "mel").glob("*.srf"))
+        assert written == sorted(f"{Path(r.split(',')[0]).stem}.srf" for r in rows[1:3])
+
 
 class TestSplitTrainEval:
     def test_full_pipeline(self, small_corpus):
@@ -258,6 +285,32 @@ class TestSplitTrainEval:
             "--epochs", "1",
         ])
         assert rc == 1
+
+    def test_split_clip_missing_from_manifest(self, small_corpus, tmp_path, caplog):
+        _, manifest = small_corpus
+        split_file = tmp_path / "split.json"
+        assert main(["split", "--manifest", str(manifest), "--out", str(split_file)]) == 0
+        split = json.loads(split_file.read_text())
+        for part in ("train", "validation"):  # first, so it is the first clip loaded
+            split[part].insert(0, "ghost.wav")
+        split_file.write_text(json.dumps(split))
+        # The clip has a feature file; only the manifest lacks it.
+        (tmp_path / "features" / "mel").mkdir(parents=True)
+        ghost = FeatureImage(np.zeros((128, 216)), kind="mel")
+        write_feature_file(ghost, tmp_path / "features" / "mel" / "ghost.srf")
+        for command in ("train", "eval"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="srfe"):
+                rc = main([
+                    command, "--feature", "mel",
+                    "--manifest", str(manifest),
+                    "--feature-dir", str(tmp_path / "features"),
+                    "--split-file", str(split_file),
+                    "--out", str(tmp_path / "out"),
+                    "--epochs", "1",
+                ])
+            assert rc == 1
+            assert "ghost.wav" in caplog.text
 
 
 class TestReport:

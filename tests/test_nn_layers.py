@@ -95,6 +95,26 @@ class TestMaxPool:
         np.testing.assert_allclose(dx[0, :, :, 0], [[1, 0], [0, 0]])
 
 
+class TestPoolReluOrder:
+    def test_pool_then_relu_matches_relu_then_pool(self):
+        # Negatives and ties (rounded values, a zeroed row) in most windows.
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(size=(3, 8, 6, 4)), 1).astype(np.float32)
+        x[:, 2] = 0.0
+        dout = rng.normal(size=(3, 4, 3, 4)).astype(np.float32)
+
+        a, relu_a = L.relu_forward(x.copy())
+        out_a, pool_a = L.maxpool2x2_forward(a)
+        dx_a = L.relu_backward(L.maxpool2x2_backward(dout, pool_a), relu_a)
+
+        pooled, pool_b = L.maxpool2x2_forward(x.copy())
+        out_b, relu_b = L.relu_forward(pooled)
+        dx_b = L.maxpool2x2_backward(L.relu_backward(dout, relu_b), pool_b)
+
+        np.testing.assert_array_equal(out_b, out_a)
+        np.testing.assert_array_equal(dx_b, dx_a)
+
+
 class TestBatchNorm:
     def setup_params(self, h=5):
         rng = np.random.default_rng(3)

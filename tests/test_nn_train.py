@@ -1,5 +1,7 @@
 """Adam, the plateau callbacks, the training loop, and checkpoint files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ class TestTrainLoop:
     def test_history_and_lr_columns(self):
         x, y = toy_data(24)
         model = tiny_model()
-        cfg = TrainConfig(batch_size=8, max_epochs=4, seed=1)
+        cfg = TrainConfig(batch_size=8, epochs=4, seed=1)
         model, history = train(model, x, y, x, y, cfg)
         assert history.epochs == 4
         assert all(b <= a for a, b in zip(history.lr, history.lr[1:]))  # non-increasing
@@ -136,7 +138,7 @@ class TestTrainLoop:
 
     def test_same_seed_reproduces_training(self):
         x, y = toy_data(16)
-        cfg = TrainConfig(batch_size=8, max_epochs=3, seed=9)
+        cfg = TrainConfig(batch_size=8, epochs=3, seed=9)
         m1, h1 = train(tiny_model(seed=2), x, y, x, y, cfg)
         m2, h2 = train(tiny_model(seed=2), x, y, x, y, cfg)
         assert h1.train_loss == h2.train_loss
@@ -146,8 +148,8 @@ class TestTrainLoop:
 
     def test_returns_best_epoch_parameters(self):
         x, y = toy_data(24, seed=3)
-        cfg = TrainConfig(batch_size=8, max_epochs=6, seed=4,
-                          lr_patience=None, early_stop_patience=None)
+        cfg = TrainConfig(batch_size=8, epochs=6, seed=4,
+                          lr_patience=0, early_stop_patience=0)
         model, history = train(tiny_model(seed=3), x, y, x, y, cfg)
         from srfe.nn import evaluate
         val_loss, _ = evaluate(model, x, y, batch_size=8)
@@ -155,8 +157,8 @@ class TestTrainLoop:
 
     def test_learns_separable_toy_problem(self):
         x, y = toy_data(30, seed=5)
-        cfg = TrainConfig(batch_size=10, max_epochs=25, seed=5,
-                          lr_patience=None, early_stop_patience=None)
+        cfg = TrainConfig(batch_size=10, epochs=25, seed=5,
+                          lr_patience=0, early_stop_patience=0)
         model, history = train(tiny_model(seed=5), x, y, x, y, cfg)
         assert history.train_loss[-1] < history.train_loss[0]
         labels, _ = model.predict(x)
@@ -165,8 +167,8 @@ class TestTrainLoop:
     def test_early_stop_bounds_epochs(self):
         x, y = toy_data(16, seed=6)
         # Zero LR: nothing improves after epoch 1, so stop fires at epoch 1 + patience.
-        cfg = TrainConfig(batch_size=8, max_epochs=50, initial_lr=0.0, seed=6,
-                          lr_patience=None, early_stop_patience=3)
+        cfg = TrainConfig(batch_size=8, epochs=50, initial_lr=0.0, seed=6,
+                          lr_patience=0, early_stop_patience=3)
         _, history = train(tiny_model(seed=6), x, y, x, y, cfg)
         assert history.epochs == 4
 
@@ -175,11 +177,25 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(tiny_model(), x, y, x[:0], y[:0], TrainConfig())
 
+    def test_non_finite_loss_stops_training(self):
+        x, y = toy_data(16, seed=10)
+        model = tiny_model(seed=10)
+        model.params["fc/w"][...] = np.nan
+        with pytest.raises(ValueError, match="training loss at epoch 1, batch 1"):
+            train(model, x, y, x, y, TrainConfig(batch_size=8, epochs=3, seed=10))
+
+    def test_non_finite_validation_loss_stops_training(self):
+        x, y = toy_data(16, seed=12)
+        val_x = x.copy()
+        val_x[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="validation loss at epoch 1"):
+            train(tiny_model(seed=12), x, y, val_x, y, TrainConfig(batch_size=8, epochs=3, seed=12))
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_params_and_predictions(self, tmp_path):
         x, y = toy_data(16, seed=7)
-        cfg = TrainConfig(batch_size=8, max_epochs=2, seed=7)
+        cfg = TrainConfig(batch_size=8, epochs=2, seed=7)
         model, _ = train(tiny_model(seed=7), x, y, x, y, cfg)
         path = tmp_path / "model.srnn"
         save_checkpoint(model, path)
@@ -230,10 +246,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("last_dim", [3, 4])
+    def test_huge_tensor_header_rejected(self, tmp_path, last_dim):
+        name = b"conv1/w"
+        header = b"SRNN" + struct.pack("<BI", 1, 1) + struct.pack("<H", len(name)) + name
+        header += struct.pack("<B3I", 3, 2**31, 2**31, last_dim)
+        path = tmp_path / "huge.srnn"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="conv1/w"):
+            load_checkpoint(path)
+
     def test_history_csv_roundtrip(self, tmp_path):
         x, y = toy_data(16, seed=8)
         _, history = train(tiny_model(seed=8), x, y, x, y,
-                           TrainConfig(batch_size=8, max_epochs=3, seed=8))
+                           TrainConfig(batch_size=8, epochs=3, seed=8))
         path = tmp_path / "history.csv"
         write_history_csv(history, path)
         back = read_history_csv(path)
