@@ -10,6 +10,8 @@ else.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -161,47 +163,43 @@ def write_wav(clip: AudioClip, path) -> None:
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Band-limited resampling with a Hann-windowed sinc kernel.
+    """Band-limited resampling with a Hann-windowed sinc kernel, as a polyphase FIR.
 
     The kernel cutoff sits at min(input Nyquist, output Nyquist).  The kernel
     spans RESAMPLE_HALF_WIDTH *output-side* zero crossings per side; the
-    input-side support widens by 1/ratio when downsampling.
+    input-side support widens by 1/ratio when downsampling.  With the rates in
+    lowest terms, target/source = L/M, output i sits at input position i*M/L,
+    so its fractional phase (i*M mod L)/L takes one of only L values: each
+    phase's kernel row is built once and applied as one strided FIR.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
+    for rate in (clip.sample_rate, target_rate):
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate <= 0:
+            raise ValueError(f"sample rates must be positive integers, got {rate!r}")
     if target_rate == clip.sample_rate:
         return AudioClip(clip.samples, clip.sample_rate, clip.source_path)
 
     ratio = target_rate / clip.sample_rate
-    n_in = len(clip.samples)
-    n_out = int(round(n_in * ratio))
-    if n_out == 0:
-        return AudioClip(np.zeros(0, dtype=np.float32), target_rate, clip.source_path)
+    n_out = int(round(len(clip.samples) * ratio))
+    g = math.gcd(clip.sample_rate, target_rate)
+    up, down = target_rate // g, clip.sample_rate // g  # L, M
 
     cutoff = min(1.0, ratio)  # 1.0 == input Nyquist
     support = RESAMPLE_HALF_WIDTH / cutoff  # input samples per side
     k = int(np.ceil(support))
 
+    # Row r is the kernel of outputs r, r + L, r + 2L, ...; their input windows
+    # start M samples apart.
+    starts = np.arange(min(up, n_out)) * down  # r*M
+    arg = np.arange(-k + 1, k + 1) - (starts % up / up)[:, None]  # (rows, 2k) signed distances
+    taper = np.cos(0.5 * np.pi * arg / support)
+    table = cutoff * np.sinc(cutoff * arg) * np.where(np.abs(arg) <= support, taper * taper, 0.0)
+
     x = np.pad(clip.samples.astype(np.float64), (k, k))
-    offs = np.arange(-k + 1, k + 1, dtype=np.float64)  # (2k,)
+    windows = np.lib.stride_tricks.sliding_window_view(x, 2 * k)  # a view, no copy
     out = np.empty(n_out, dtype=np.float64)
-
-    # Chunked so the (chunk, 2k) kernel matrices stay small.
-    chunk = 8192
-    for lo in range(0, n_out, chunk):
-        hi = min(lo + chunk, n_out)
-        t = np.arange(lo, hi, dtype=np.float64) / ratio  # output positions, input units
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-
-        arg = offs[None, :] - frac[:, None]  # (chunk, 2k) signed distances
-        taper = np.cos(0.5 * np.pi * arg / support)
-        kernel = cutoff * np.sinc(cutoff * arg)
-        kernel *= np.where(np.abs(arg) <= support, taper * taper, 0.0)
-
-        idx = base[:, None] + (offs[None, :].astype(np.int64) + k)
-        out[lo:hi] = np.einsum("ij,ij->i", x[idx], kernel)
-
+    for r, row in enumerate(table):
+        taps = windows[starts[r] // up + 1 :: down][: len(range(r, n_out, up))]
+        out[r::up] = np.einsum("ij,j->i", taps, row)  # rows overlap, so @ skips BLAS and runs ~3x slower
     return AudioClip(out.astype(np.float32), int(target_rate), clip.source_path)
 
 

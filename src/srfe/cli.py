@@ -139,6 +139,9 @@ def _load_split(cfg: RunConfig, command: str, parts: tuple[str, ...]):
     cfg = cfg.with_overrides(feature=_canonical_feature(cfg.feature))
     labels_by_name = {rec.filename: rec.class_id for rec in parse_manifest(cfg.manifest)}
     split = read_split(cfg.split_file)
+    for part in parts:
+        if not split[part]:
+            raise ManifestError(f"{cfg.split_file}: split part {part!r} lists no clips")
     kind_dir = Path(cfg.feature_dir) / cfg.feature
     sets = []
     for part in parts:

@@ -7,7 +7,9 @@ once, and a RunConfig goes straight to the extractor and to `train()`.
 
 Precedence is flags over config file over built-in defaults.  The config
 file is a flat JSON object whose keys are exactly the RunConfig field
-names; unknown keys are rejected so typos fail loudly.
+names; unknown keys are rejected so typos fail loudly, and so is a value of
+the wrong type (an int field takes no float, string or bool; a float field
+also takes an int).
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 from .features.pipeline import FeatureParams
 from .nn.train import TrainConfig
+
+
+def _has_type(value, field_type) -> bool:
+    """isinstance for a field type such as int or float | None; bool is no number."""
+    allowed = typing.get_args(field_type) or (field_type,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,11 @@ class RunConfig(FeatureParams, TrainConfig):
         unknown = set(values) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in values.items():
+            if not _has_type(value, hints[key]):
+                expected = getattr(hints[key], "__name__", hints[key])  # int, or float | None
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         return cls(**values)
 
     @classmethod

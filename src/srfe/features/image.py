@@ -61,6 +61,9 @@ def to_feature_image(feat: FeatureMatrix) -> FeatureImage:
     """Render a feature matrix as the canonical normalized image."""
     if feat.values.size == 0:
         raise ValueError("cannot render an empty feature matrix")
+    n_bad = np.count_nonzero(~np.isfinite(feat.values))
+    if n_bad:
+        raise ValueError(f"{feat.kind} feature matrix has {n_bad} non-finite values")
     values = feat.values.astype(np.float64)
     if feat.kind in _DB_KINDS:
         values = 10.0 * np.log10(values + LOG_FLOOR)

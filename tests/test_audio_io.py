@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from srfe.audio import AudioClip, load_wav, pad_or_trim, resample, write_wav
+from srfe.audio import RESAMPLE_HALF_WIDTH, AudioClip, load_wav, pad_or_trim, resample, write_wav
 from srfe.dsp import naive_dft
 from srfe.errors import DecodeError, EmptyAudioError, UnsupportedFormatError
 from synth import wav_bytes
@@ -112,7 +112,49 @@ class TestLoadWav:
             load_wav(write_file(tmp_path, wav_bytes(b"")))
 
 
+def resample_loop(samples, src, dst):
+    """The windowed-sinc resampler written out one output sample at a time."""
+    ratio = dst / src
+    n_out = int(round(len(samples) * ratio))
+    cutoff = min(1.0, ratio)
+    support = RESAMPLE_HALF_WIDTH / cutoff
+    k = int(np.ceil(support))
+    x = np.pad(samples.astype(np.float64), (k, k))
+    offs = np.arange(-k + 1, k + 1, dtype=np.float64)
+    out = np.empty(n_out)
+    for i in range(n_out):
+        t = i / ratio  # output position in input samples
+        base = int(np.floor(t))
+        arg = offs - (t - base)
+        taper = np.cos(0.5 * np.pi * arg / support)
+        kernel = cutoff * np.sinc(cutoff * arg) * np.where(np.abs(arg) <= support, taper * taper, 0.0)
+        out[i] = x[base + 1 : base + 1 + 2 * k] @ kernel
+    return out.astype(np.float32)
+
+
 class TestResample:
+    def test_two_to_one_matches_loop_oracle_exactly(self):
+        x = np.random.default_rng(1).normal(0, 0.3, 11025).astype(np.float32)
+        out = resample(AudioClip(x, 44100), 22050)
+        np.testing.assert_array_equal(out.samples, resample_loop(x, 44100, 22050))
+
+    @pytest.mark.parametrize("src,dst", [(48000, 22050), (22050, 44100), (16000, 22050), (44100, 22051)])
+    def test_other_rates_match_loop_oracle(self, src, dst):
+        x = np.random.default_rng(2).normal(0, 0.3, src // 4).astype(np.float32)
+        out = resample(AudioClip(x, src), dst)
+        assert out.sample_rate == dst
+        np.testing.assert_array_max_ulp(out.samples, resample_loop(x, src, dst), maxulp=1)
+
+    @pytest.mark.parametrize("src,dst", [(44100, 22050), (48000, 22050), (22050, 44100), (44100, 22051)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])  # 1 sample at 2:1 gives no output at all
+    def test_short_inputs_match_loop_oracle(self, src, dst, n):
+        x = np.random.default_rng(n).uniform(-1, 1, n).astype(np.float32)
+        out = resample(AudioClip(x, src), dst).samples
+        expected = resample_loop(x, src, dst)
+        assert out.dtype == np.float32
+        assert len(out) == len(expected) == int(round(n * dst / src))
+        np.testing.assert_array_max_ulp(out, expected, maxulp=1)
+
     def test_exact_two_to_one_length(self):
         clip = AudioClip(np.zeros(220500, dtype=np.float32), 44100)
         out = resample(clip, 22050)
@@ -159,6 +201,16 @@ class TestResample:
         clip = AudioClip(np.zeros(10, dtype=np.float32), 22050)
         with pytest.raises(ValueError):
             resample(clip, 0)
+
+    @pytest.mark.parametrize("src,dst", [(22050, 22050.0), (22050, True), (22050, "44100"), (44100.0, 22050)])
+    def test_non_integer_rate_rejected(self, src, dst):
+        clip = AudioClip(np.zeros(10, dtype=np.float32), src)
+        with pytest.raises(ValueError, match="positive integers"):
+            resample(clip, dst)
+
+    def test_numpy_integer_rates_accepted(self):
+        clip = AudioClip(np.zeros(100, dtype=np.float32), np.int64(44100))
+        assert len(resample(clip, np.int32(22050))) == 50
 
 
 class TestPadOrTrim:

@@ -44,6 +44,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"feature": "mel", "typo_field": 1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_rate", 22050.0), ("epochs", "3"), ("seed", True), ("feature", 3),
+        ("clip_seconds", True), ("fmax", "8000"),
+    ])
+    def test_wrong_value_type_named(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            RunConfig.from_dict({key: value})
+
+    def test_float_fields_take_ints(self):
+        cfg = RunConfig.from_dict({"fmin": 0, "fmax": 8000, "clip_seconds": 5})
+        assert (cfg.fmin, cfg.fmax, cfg.clip_seconds) == (0, 8000, 5)
+        assert RunConfig.from_dict({"fmax": None}).fmax is None
+
+    def test_wrong_type_in_config_file_exits_1(self, tmp_path, caplog):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"sample_rate": 22050.0, "epochs": "3"}))
+        with caplog.at_level(logging.ERROR, logger="srfe"):
+            assert main(["split", "--config", str(cfg_path)]) == 1
+        assert "config key 'sample_rate' must be int, got 22050.0" in caplog.text
+
     def test_config_file_through_cli(self, small_corpus, tmp_path):
         root, manifest = small_corpus
         split_file = tmp_path / "split.json"
@@ -196,6 +216,65 @@ class TestExtract:
         assert written == sorted(f"{Path(r.split(',')[0]).stem}.srf" for r in rows[1:3])
 
 
+    def test_pool_matches_serial_at_44k(self, tmp_path):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        rows = ["filename,fold,target,category,esc10,src_file,take"]
+        rng = np.random.default_rng(44)
+        signals = [
+            synth.tone(440.0, 1.5, sr=44100),
+            synth.chirp(200.0, 9000.0, 1.5, sr=44100),
+            synth.click_train(120.0, 1.5, sr=44100),
+            synth.am_noise(rng, 1.5, sr=44100),
+        ]
+        for i, signal in enumerate(signals):
+            pcm = np.round(signal * 32767).astype("<i2")
+            (audio / f"c{i}.wav").write_bytes(synth.wav_bytes(pcm.tobytes(), sample_rate=44100))
+            rows.append(f"c{i}.wav,1,{i},class{i},False,c{i}.wav,A")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        for workers in ("2", "1"):
+            rc = main([
+                "extract", "--feature", "all",
+                "--audio-dir", str(audio),
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / f"w{workers}"),
+                "--workers", workers,
+            ])
+            assert rc == 0
+        for kind in FEATURE_KINDS:
+            names = sorted(p.name for p in (tmp_path / "w1" / kind).iterdir())
+            assert names == ["c0.srf", "c1.srf", "c2.srf", "c3.srf", "manifest.jsonl"]
+            for name in names:
+                pooled = (tmp_path / "w2" / kind / name).read_bytes()
+                assert pooled == (tmp_path / "w1" / kind / name).read_bytes(), (kind, name)
+
+    def test_non_finite_features_fail_the_clip(self, small_corpus, tmp_path, monkeypatch, caplog):
+        from srfe.features import pipeline
+
+        root, manifest = small_corpus
+        real_mel = pipeline.mel_spectrogram
+
+        def nan_mel(power, bank):
+            mel = real_mel(power, bank)
+            mel.values[0, :3] = np.nan
+            return mel
+
+        monkeypatch.setattr(pipeline, "mel_spectrogram", nan_mel)
+        with caplog.at_level(logging.ERROR, logger="srfe"):
+            rc = main([
+                "extract", "--feature", "mel",
+                "--audio-dir", str(root / "audio"),
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / "features"),
+                "--workers", "1",
+            ])
+        assert rc == 1
+        assert "mel feature matrix has 3 non-finite values" in caplog.text
+        assert list((tmp_path / "features" / "mel").glob("*.srf")) == []
+        assert (tmp_path / "features" / "mel" / "manifest.jsonl").read_text() == ""
+
+
 class TestSplitTrainEval:
     def test_full_pipeline(self, small_corpus):
         root, manifest = small_corpus
@@ -311,6 +390,25 @@ class TestSplitTrainEval:
                 ])
             assert rc == 1
             assert "ghost.wav" in caplog.text
+
+    @pytest.mark.parametrize("command, part", [("train", "train"), ("train", "validation"), ("eval", "validation")])
+    def test_empty_split_part_named(self, small_corpus, tmp_path, caplog, command, part):
+        _, manifest = small_corpus
+        split_file = tmp_path / "split.json"
+        assert main(["split", "--manifest", str(manifest), "--out", str(split_file)]) == 0
+        split = json.loads(split_file.read_text())
+        split[part] = []
+        split_file.write_text(json.dumps(split))
+        with caplog.at_level(logging.ERROR, logger="srfe"):
+            rc = main([
+                command, "--feature", "mel",
+                "--manifest", str(manifest),
+                "--feature-dir", str(tmp_path / "features"),
+                "--split-file", str(split_file),
+                "--out", str(tmp_path / "out"),
+            ])
+        assert rc == 1
+        assert f"{split_file}: split part {part!r} lists no clips" in caplog.text
 
 
 class TestReport:

@@ -84,6 +84,14 @@ class TestToFeatureImage:
         with pytest.raises(ValueError):
             to_feature_image(feat("mel", np.zeros((0, 0))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        values = np.ones((12, 40))
+        values[3, 5] = bad
+        values[7, 9] = np.nan
+        with pytest.raises(ValueError, match="chroma_cqt feature matrix has 2 non-finite values"):
+            to_feature_image(feat("chroma_cqt", values))
+
 
 class TestFeatureFile:
     def test_roundtrip_bit_identical(self, tmp_path):
