@@ -40,14 +40,14 @@ class AudioClip:
         return len(self.samples)
 
 
-def _read_chunks(data: bytes):
-    """Yield (chunk_id, payload) pairs from a RIFF body."""
+def _read_chunks(data: bytes, path):
+    """Yield (chunk_id, payload) pairs from the RIFF body of the file at path."""
     pos = 12
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
         pos += 8
         if pos + size > len(data):
-            raise DecodeError(f"chunk {cid!r} claims {size} bytes past end of file")
+            raise DecodeError(f"{path}: chunk {cid!r} claims {size} bytes past end of file")
         yield cid, data[pos : pos + size]
         pos += size + (size & 1)  # chunks are word-aligned
 
@@ -86,7 +86,7 @@ def load_wav(path) -> AudioClip:
 
     fmt = None
     payload = None
-    for cid, body in _read_chunks(data):
+    for cid, body in _read_chunks(data, path):
         if cid == b"fmt ":
             if len(body) < 16:
                 raise DecodeError(f"{path}: fmt chunk too short ({len(body)} bytes)")

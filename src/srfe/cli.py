@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .audio import load_wav, pad_or_trim, resample
 from .config import RunConfig
 from .dataset import parse_manifest, read_split, stratified_split, write_split
@@ -97,7 +98,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     ok_stems = {stem for stem, error in results if error is None}
     for kind in kinds:
         manifest_path = out_root / kind / "manifest.jsonl"
-        with open(manifest_path, "w") as fh:
+        with atomic_write(manifest_path) as fh:
             for rec in records:
                 stem = Path(rec.filename).stem
                 if stem not in ok_stems:
@@ -195,7 +196,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     out_dir = Path(cfg.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{cfg.feature}_report.json"
-    out_path.write_text(report.to_json() + "\n")
+    with atomic_write(out_path) as fh:
+        fh.write(report.to_json() + "\n")
     log.info(
         "evaluated %s: accuracy %.3f, class macro F1 %.3f -> %s",
         cfg.feature, report.overall_accuracy, report.macro["class_f1"], out_path,
@@ -231,7 +233,7 @@ def cmd_report(report_paths: list[str], out_dir: str) -> int:
 
     for metric in ("accuracy", "precision", "recall", "f1"):
         path = out / f"category_{metric}.csv"
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("feature," + ",".join(cat_labels) + "\n")
             for rep in reports:
                 values = getattr(rep.category, metric)
@@ -241,7 +243,7 @@ def cmd_report(report_paths: list[str], out_dir: str) -> int:
     for cat in range(n_categories):
         lo, hi = cat * group, min((cat + 1) * group, n_labels)
         path = out / f"class_precision_category_{cat_labels[cat]}.csv"
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("feature," + ",".join(str(c) for c in range(lo, hi)) + "\n")
             for rep in reports:
                 row = rep.class_precision[lo:hi]

@@ -25,6 +25,7 @@ import csv
 import json
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .errors import DuplicateFilenameError, ManifestError, StratificationError
 
 N_CLASSES = 50
@@ -149,7 +150,7 @@ def write_split(split: SplitAssignment, path) -> None:
         "train": [r.filename for r in split.train],
         "validation": [r.filename for r in split.validation],
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

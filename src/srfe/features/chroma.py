@@ -91,13 +91,21 @@ def stft_chromagram(power: PowerSpectrogram, chroma_map: ChromaMap) -> FeatureMa
 
 @dataclass
 class CqtKernel:
-    """Per-bin complex analysis kernels with constant frequency/bandwidth ratio."""
+    """Per-bin complex analysis kernels with constant frequency/bandwidth ratio.
+
+    `blocks` holds the same kernels grouped by octave for `cqt`: block g
+    covers bins lo = g*bins_per_octave .. lo+b-1 as a float32 (n_g, 2b)
+    matrix, n_g the length of bin lo's (longest) kernel.  Columns 2j and 2j+1
+    are the real and imaginary parts of conj(filters[lo+j]), placed at row
+    n_g//2 - len(filters[lo+j])//2 so that each kernel keeps its own centre.
+    """
 
     filters: list[np.ndarray]  # complex64, one per bin, descending lengths
     center_frequencies: np.ndarray
     sample_rate: int
     fmin: float
     bins_per_octave: int
+    blocks: list[np.ndarray]  # float32, one per octave group of bins
 
     @property
     def n_bins(self) -> int:
@@ -139,12 +147,26 @@ def build_cqt_kernel(
         phase = np.exp(-2j * np.pi * f_k * (n - n_k / 2.0) / sample_rate)
         filters.append((window * phase / window.sum()).astype(np.complex64))
 
+    blocks = []
+    for lo in range(0, n_bins, bins_per_octave):
+        group = filters[lo : lo + bins_per_octave]
+        n_g = len(group[0])
+        block = np.zeros((n_g, 2 * len(group)), dtype=np.float32)
+        for j, filt in enumerate(group):
+            row = n_g // 2 - len(filt) // 2
+            # complex64 viewed as float32 pairs: (real, imag) per sample.
+            block[row : row + len(filt), 2 * j : 2 * j + 2] = (
+                np.conjugate(filt).view(np.float32).reshape(-1, 2)
+            )
+        blocks.append(block)
+
     return CqtKernel(
         filters=filters,
         center_frequencies=centers,
         sample_rate=sample_rate,
         fmin=float(fmin),
         bins_per_octave=bins_per_octave,
+        blocks=blocks,
     )
 
 
@@ -153,7 +175,8 @@ def cqt(clip, kernel: CqtKernel, hop: int = 512) -> np.ndarray:
 
     Frame m is centered at sample m*hop; each bin correlates its own kernel
     against the window of matching length around that point (zero padding at
-    the clip edges).
+    the clip edges).  The bins of one octave share a frame length, so each
+    octave is one real GEMM of its frames against `kernel.blocks`.
     """
     x = np.asarray(clip.samples, dtype=np.float32)
     if x.shape[0] < kernel.max_length:
@@ -169,19 +192,18 @@ def cqt(clip, kernel: CqtKernel, hop: int = 512) -> np.ndarray:
     half_max = kernel.max_length // 2
     xp = np.pad(x, (half_max, half_max + kernel.max_length))
     n_frames = 1 + x.shape[0] // hop
-    stride = xp.strides[0]
 
     mags = np.empty((kernel.n_bins, n_frames), dtype=np.float32)
-    for k, filt in enumerate(kernel.filters):
-        n_k = len(filt)
-        start = half_max - n_k // 2
-        frames = np.lib.stride_tricks.as_strided(
-            xp[start:],
-            shape=(n_frames, n_k),
-            strides=(hop * stride, stride),
-            writeable=False,
-        )
-        mags[k] = np.abs(frames @ np.conjugate(filt))
+    lo = 0
+    for block in kernel.blocks:
+        n_g, b = block.shape[0], block.shape[1] // 2
+        start = half_max - n_g // 2
+        span = xp[start : start + (n_frames - 1) * hop + n_g]
+        # A copy: @ on overlapping rows of a strided view does not reach BLAS.
+        frames = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(span, n_g)[::hop])
+        parts = frames @ block  # (n_frames, 2b): real, imag per bin
+        mags[lo : lo + b] = np.hypot(parts[:, 0::2], parts[:, 1::2]).T
+        lo += b
     return mags
 
 

@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import FeatureFileError
 from .types import FEATURE_KINDS, IMAGE_HEIGHT, IMAGE_WIDTH, LOG_FLOOR, FeatureImage, FeatureMatrix
 
@@ -82,7 +83,7 @@ def to_feature_image(feat: FeatureMatrix) -> FeatureImage:
 def write_feature_file(img: FeatureImage, path) -> None:
     kind_code = FEATURE_KINDS.index(img.kind)
     header = _HEADER.pack(MAGIC, VERSION, kind_code, 0, img.height, img.width)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(img.values, dtype="<f4").tobytes())
 

@@ -1,8 +1,8 @@
 """Checkpoint and history files.
 
 Checkpoint layout (little-endian): magic "SRNN", u8 version, u32 tensor
-count, then per tensor: u16 name length, utf-8 name, u8 rank, rank u32
-dims, float32 data.  An extra "meta/arch" tensor records the architecture
+count, then per tensor: u16 name length, utf-8 name, u8 rank (at most 4),
+rank u32 dims, float32 data.  An extra "meta/arch" tensor records the architecture
 (input dims, class count, dense width, dropout rate, conv widths) so a
 model can be rebuilt from the file alone.
 
@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import CheckpointError
 from .model import ConvNet
 from .train import TrainHistory
@@ -25,6 +26,7 @@ from .train import TrainHistory
 MAGIC = b"SRNN"
 VERSION = 1
 _META_KEY = "meta/arch"
+_MAX_RANK = 4  # the model's tensors are conv weights (3, 3, cin, cout) and below
 
 
 def _arch_vector(model: ConvNet) -> np.ndarray:
@@ -47,7 +49,7 @@ def save_checkpoint(model: ConvNet, path) -> None:
     tensors.update(model.params)
     tensors.update(model.running)
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<B", VERSION))
         fh.write(struct.pack("<I", len(tensors)))
@@ -80,8 +82,14 @@ def load_checkpoint(path) -> ConvNet:
         count = struct.unpack("<I", _read_exact(fh, 4, path))[0]
         for _ in range(count):
             name_len = struct.unpack("<H", _read_exact(fh, 2, path))[0]
-            name = _read_exact(fh, name_len, path).decode("utf-8")
+            raw_name = _read_exact(fh, name_len, path)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: tensor name {raw_name!r} is not UTF-8") from exc
             rank = struct.unpack("<B", _read_exact(fh, 1, path))[0]
+            if rank > _MAX_RANK:
+                raise CheckpointError(f"{path}: tensor {name!r} has rank {rank} > {_MAX_RANK}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path))
             need, left = 4 * math.prod(dims), file_size - fh.tell()
             if need > left:
@@ -94,7 +102,7 @@ def load_checkpoint(path) -> ConvNet:
     if _META_KEY not in tensors:
         raise CheckpointError(f"{path}: missing {_META_KEY!r} tensor")
     meta = tensors.pop(_META_KEY)
-    if meta.size < 6:
+    if meta.size < 6 or not np.isfinite(meta).all():
         raise CheckpointError(f"{path}: malformed {_META_KEY!r} tensor")
     n_conv = int(meta[5])
     if meta.size != 6 + n_conv:
@@ -115,7 +123,7 @@ def load_checkpoint(path) -> ConvNet:
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc", "lr"])
         for i in range(history.epochs):

@@ -1,5 +1,6 @@
 """WAV decode, downmix, resampling, and length standardization."""
 
+import re
 import struct
 
 import numpy as np
@@ -102,6 +103,11 @@ class TestLoadWav:
         data = wav_bytes(np.zeros(100, dtype="<i2").tobytes())
         with pytest.raises(DecodeError):
             load_wav(write_file(tmp_path, data[:50]))
+
+    def test_chunk_overrun_names_the_file(self, tmp_path):
+        path = write_file(tmp_path, wav_bytes(np.zeros(200, dtype="<i2").tobytes())[:-100])
+        with pytest.raises(DecodeError, match=f"{re.escape(str(path))}: chunk b'data' claims 400 bytes"):
+            load_wav(path)
 
     def test_non_pcm_codec(self, tmp_path):
         with pytest.raises(UnsupportedFormatError):

@@ -98,7 +98,58 @@ class TestStftChromagram:
             stft_chromagram(power, build_chroma_map(22050, 2048))
 
 
+def cqt_loop(samples, kernel, hop):
+    """Oracle: one complex product per bin, each kernel centred on sample m*hop."""
+    half_max = kernel.max_length // 2
+    xp = np.pad(samples.astype(np.float32), (half_max, half_max + kernel.max_length))
+    n_frames = 1 + len(samples) // hop
+    mags = np.empty((kernel.n_bins, n_frames), dtype=np.float32)
+    for k, filt in enumerate(kernel.filters):
+        start = half_max - len(filt) // 2
+        frames = np.lib.stride_tricks.sliding_window_view(xp[start:], len(filt))[::hop]
+        mags[k] = np.abs(frames[:n_frames] @ np.conjugate(filt))
+    return mags
+
+
 class TestCqt:
+    @pytest.mark.parametrize(
+        "n_bins, bins_per_octave, hop, n_samples",
+        [
+            (84, 12, 512, 3 * 22050),
+            (80, 12, 512, 3 * 22050),  # short last octave
+            (84, 24, 256, 3 * 22050),
+            (84, 12, 512, None),  # just longer than the longest kernel
+        ],
+    )
+    def test_matches_per_bin_loop_oracle(self, n_bins, bins_per_octave, hop, n_samples):
+        kernel = build_cqt_kernel(22050, CQT_FMIN_C1, n_bins, bins_per_octave)
+        n = kernel.max_length + 3 if n_samples is None else n_samples
+        rng = np.random.default_rng(n_bins + bins_per_octave + hop)
+        x = 0.3 * rng.standard_normal(n) + synth.tone(220.0, duration=n / synth.SR)[:n]
+        got = cqt(AudioClip(x.astype(np.float32), 22050), kernel, hop)
+        ref = cqt_loop(x, kernel, hop)
+        assert got.shape == ref.shape and got.dtype == np.float32
+        # float32 GEMMs that sum in another order: a tolerance from float32
+        # rounding, relative to the largest magnitude.
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n_bins, bins_per_octave", [(84, 12), (80, 12), (84, 24)])
+    def test_octave_blocks_hold_centred_conjugate_kernels(self, n_bins, bins_per_octave):
+        kernel = build_cqt_kernel(22050, CQT_FMIN_C1, n_bins, bins_per_octave)
+        assert len(kernel.blocks) == -(-n_bins // bins_per_octave)
+        for g, block in enumerate(kernel.blocks):
+            lo = g * bins_per_octave
+            group = kernel.filters[lo : lo + bins_per_octave]
+            n_g = len(group[0])
+            assert block.dtype == np.float32
+            assert block.shape == (n_g, 2 * len(group))
+            for j, filt in enumerate(group):
+                expected = np.zeros(n_g, dtype=np.complex64)
+                row = n_g // 2 - len(filt) // 2
+                expected[row : row + len(filt)] = np.conjugate(filt)
+                np.testing.assert_array_equal(block[:, 2 * j], expected.real)
+                np.testing.assert_array_equal(block[:, 2 * j + 1], expected.imag)
+
     def test_kernel_geometry(self):
         kernel = build_cqt_kernel(22050)
         assert kernel.n_bins == 84

@@ -1,11 +1,13 @@
 """Adam, the plateau callbacks, the training loop, and checkpoint files."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from srfe.errors import CheckpointError
+from srfe.nn import checkpoint as checkpoint_module
 from srfe.nn import (
     ConvNet,
     PlateauPolicy,
@@ -254,6 +256,35 @@ class TestCheckpoint:
         path = tmp_path / "huge.srnn"
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="conv1/w"):
+            load_checkpoint(path)
+
+    def _one_tensor_file(self, tmp_path, name: bytes, rank: int, dims=()):
+        header = b"SRNN" + struct.pack("<BI", 1, 1) + struct.pack("<H", len(name)) + name
+        header += struct.pack(f"<B{len(dims)}I", rank, *dims)
+        path = tmp_path / "corrupt.srnn"
+        path.write_bytes(header + b"\x00" * 64)
+        return path
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = self._one_tensor_file(tmp_path, b"conv\xe81/w", 1, (1,))
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: tensor name .* is not UTF-8"):
+            load_checkpoint(path)
+
+    def test_rank_above_model_tensors_rejected(self, tmp_path):
+        # 66 zero dims would pass the size check and reach numpy's rank limit.
+        path = self._one_tensor_file(tmp_path, b"bn/mean", 66, (0,) * 66)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: tensor 'bn/mean' has rank 66"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_architecture_rejected(self, tmp_path, monkeypatch, bad):
+        model = tiny_model()
+        path = tmp_path / "model.srnn"
+        arch = checkpoint_module._arch_vector(model)
+        arch[0] = bad
+        monkeypatch.setattr(checkpoint_module, "_arch_vector", lambda _: arch)
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="meta/arch"):
             load_checkpoint(path)
 
     def test_history_csv_roundtrip(self, tmp_path):
